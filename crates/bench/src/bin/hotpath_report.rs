@@ -18,6 +18,7 @@ use std::hint::black_box;
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
+use traxtent_bench::manifest::json_string;
 use traxtent_bench::{default_threads, Cli};
 
 const BINARIES: &[&str] = &[
@@ -207,10 +208,6 @@ fn timed_run(dir: &Path, bin: &str, extra: &[&str]) -> (Vec<u8>, f64) {
     (out.stdout, secs)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     let cli = Cli::parse_with(&["--stdout"]);
     let exe = std::env::current_exe().expect("current_exe");
@@ -229,8 +226,8 @@ fn main() {
             // timing it would fabricate a 1.0× speedup out of noise.
             eprintln!("{bin:<12} seq {seq_s:>7.3}s  (parallel run skipped)");
             bin_entries.push(format!(
-                "    {{\"binary\": \"{}\", \"seq_s\": {:.4}}}",
-                json_escape(bin),
+                "    {{\"binary\": {}, \"seq_s\": {:.4}}}",
+                json_string(bin),
                 seq_s
             ));
             continue;
@@ -245,9 +242,9 @@ fn main() {
             "{bin:<12} seq {seq_s:>7.3}s  par({threads}) {par_s:>7.3}s  identical: {identical}"
         );
         bin_entries.push(format!(
-            "    {{\"binary\": \"{}\", \"seq_s\": {:.4}, \"parallel_s\": {:.4}, \
+            "    {{\"binary\": {}, \"seq_s\": {:.4}, \"parallel_s\": {:.4}, \
              \"speedup\": {:.3}, \"stdout_identical\": {}}}",
-            json_escape(bin),
+            json_string(bin),
             seq_s,
             par_s,
             seq_s / par_s,
@@ -262,8 +259,8 @@ fn main() {
         .map(|(name, ns)| {
             eprintln!("{name:<36} {ns:>10.1} ns/iter");
             format!(
-                "    {{\"name\": \"{}\", \"median_ns\": {:.1}}}",
-                json_escape(name),
+                "    {{\"name\": {}, \"median_ns\": {:.1}}}",
+                json_string(name),
                 ns
             )
         })
@@ -276,9 +273,9 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"available_parallelism\": {threads},\n  \"threads_used\": {threads},\n  \
-         \"speedup_comparison\": \"{}\",\n  \
+         \"speedup_comparison\": {},\n  \
          \"quick_mode\": true,\n  \"binaries\": [\n{}\n  ],\n  \"hot_paths\": [\n{}\n  ]\n}}\n",
-        json_escape(&comparison),
+        json_string(&comparison),
         bin_entries.join(",\n"),
         median_entries.join(",\n")
     );

@@ -9,9 +9,10 @@
 //! ```
 
 use sim_disk::metrics::{MetricsRegistry, PHASES};
-use sim_disk::trace::{peek_event_name, TraceEvent};
+use sim_disk::trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::io::BufRead;
+use traxtent_bench::trace::{parse_event, peek_event_name};
 
 /// The worst request rows printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 5;
@@ -65,7 +66,7 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        let event = match TraceEvent::parse_json(&line) {
+        let event = match parse_event(&line) {
             Ok(event) => event,
             Err(_) => match peek_event_name(&line) {
                 Some(kind) => {

@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use traxtent::obs::span::{self, Span};
 use traxtent_bench::manifest::{json, Manifest};
+use traxtent_bench::trace::parse_span;
 
 /// The worst request trees printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 3;
@@ -62,7 +63,7 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        let span = Span::parse_json(&line)
+        let span = parse_span(&line)
             .unwrap_or_else(|e| fail(&format!("malformed span at line {}: {e}", i + 1)));
         spans.push(span);
     }

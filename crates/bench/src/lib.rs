@@ -35,6 +35,7 @@
 pub mod diff;
 pub mod exec;
 pub mod manifest;
+pub mod trace;
 
 use sim_disk::disk::DiskConfig;
 use sim_disk::fault::FaultConfig;

@@ -12,8 +12,9 @@
 //! against it with configurable tolerances.
 //!
 //! The workspace vendors only a stub `serde`, so JSON is written and parsed
-//! by hand here, the same way `sim_disk::trace` does for trace events. The
-//! format is a fixed-shape object:
+//! by hand here. [`json`] is the workspace's one JSON reader: the lower
+//! crates only write JSON, and [`crate::trace`] decodes their `--trace`
+//! exports with it. The format is a fixed-shape object:
 //!
 //! ```json
 //! {
@@ -302,7 +303,7 @@ fn git_rev() -> String {
 }
 
 /// Quotes and escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

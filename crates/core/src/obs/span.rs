@@ -19,7 +19,7 @@
 //!
 //! Export targets:
 //! * JSONL — one flat object per span via [`Span::to_json`], parsed back
-//!   by [`Span::parse_json`];
+//!   by `traxtent_bench::trace::parse_span`;
 //! * Chrome `trace_event` JSON via [`chrome_trace`] — loadable in
 //!   Perfetto / `chrome://tracing`, with one "process" per volume member
 //!   so member idle gaps are visible on the timeline.
@@ -154,41 +154,6 @@ impl Span {
         )
     }
 
-    /// Parses one line produced by [`Span::to_json`].
-    pub fn parse_json(line: &str) -> Result<Span, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| -> Result<&Field, String> {
-            fields
-                .get(key)
-                .ok_or_else(|| format!("span line missing `{key}`"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                Field::Num(n) => Ok(*n),
-                Field::Str(_) => Err(format!("span field `{key}` should be a number")),
-            }
-        };
-        let text = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                Field::Str(s) => Ok(s.clone()),
-                Field::Num(_) => Err(format!("span field `{key}` should be a string")),
-            }
-        };
-        let span = Span {
-            name: text("span")?,
-            id: num("id")?,
-            parent: num("parent")?,
-            track: u32::try_from(num("track")?).map_err(|_| "track out of range".to_string())?,
-            start_ns: num("start")?,
-            end_ns: num("end")?,
-            attrs: text("attrs")?,
-        };
-        if span.id == 0 {
-            return Err("span id must be nonzero".to_string());
-        }
-        Ok(span)
-    }
-
     /// The value of attribute `key`, if present.
     pub fn attr(&self, key: &str) -> Option<&str> {
         self.attrs.split(',').find_map(|pair| {
@@ -208,78 +173,6 @@ fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-enum Field {
-    Num(u64),
-    Str(String),
-}
-
-/// Minimal flat-object parser for span JSONL lines: one `{...}` object of
-/// string or unsigned-integer fields, no nesting. Kept local so `core`
-/// stays dependency-free.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Field>, String> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|rest| rest.strip_suffix('}'))
-        .ok_or("span line is not a JSON object")?;
-    let mut fields = BTreeMap::new();
-    let mut chars = inner.chars().peekable();
-    loop {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        if chars.peek().is_none() {
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.next() != Some(':') {
-            return Err(format!("expected `:` after key `{key}`"));
-        }
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        let field = match chars.peek() {
-            Some('"') => Field::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-                    digits.push(chars.next().unwrap());
-                }
-                Field::Num(
-                    digits
-                        .parse()
-                        .map_err(|_| format!("bad number for `{key}`"))?,
-                )
-            }
-            other => return Err(format!("unexpected value start {other:?} for `{key}`")),
-        };
-        fields.insert(key, field);
-    }
-    Ok(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected string".to_string());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
-    }
 }
 
 /// The shared span collection point: cheap-to-clone handle over one
@@ -507,32 +400,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trip() {
-        let mut s = Span::new(
-            derive_id(1, kind::VOL_CMD, 9, 2),
-            42,
-            "vol_cmd",
-            3,
-            100,
-            250,
-        );
+    fn to_json_writes_one_escaped_flat_object() {
+        let mut s = Span::new(7, 0, "a\"b\\c", 2, 100, 250);
         s.push_attr("mode", "rmw");
-        let line = s.to_json();
-        assert_eq!(Span::parse_json(&line).unwrap(), s);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(Span::parse_json("not json").is_err());
-        assert!(
-            Span::parse_json("{\"span\":\"x\"}").is_err(),
-            "missing fields"
+        assert_eq!(
+            s.to_json(),
+            r#"{"span":"a\"b\\c","id":7,"parent":0,"track":2,"start":100,"end":250,"attrs":"mode=rmw"}"#
         );
-        let zero = "{\"span\":\"x\",\"id\":0,\"parent\":0,\"track\":0,\"start\":0,\"end\":0,\"attrs\":\"\"}";
-        assert!(Span::parse_json(zero).is_err(), "zero id");
-        let stringy =
-            "{\"span\":\"x\",\"id\":\"1\",\"parent\":0,\"track\":0,\"start\":0,\"end\":0,\"attrs\":\"\"}";
-        assert!(Span::parse_json(stringy).is_err(), "id must be numeric");
     }
 
     #[test]

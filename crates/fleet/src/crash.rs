@@ -8,19 +8,20 @@
 //! redundancy invariant is silently broken until something reads the
 //! stripe.
 //!
-//! [`Volume::arm_crash`] snapshots every member's data plane and arms
-//! each member drive's [`sim_disk::crash`] log; from then on every
-//! member write carries its byte payload and per-sector durability
-//! instants. [`Volume::power_cut`] then resolves an arbitrary cut
-//! instant to the exact durable state of every member — each store is
-//! rebuilt from its replayed image — and reports how many commands were
-//! torn or lost. The volume keeps serving from that state;
+//! [`Volume::arm_crash`] snapshots every member's data plane (a clone
+//! of its [`crate::data::SectorStore`]) and arms each member drive's
+//! [`sim_disk::crash`] log; from then on every member write carries its
+//! byte payload and per-sector durability instants.
+//! [`Volume::power_cut`] then resolves an arbitrary cut instant to the
+//! exact durable state of every member — the sectors durable at the cut
+//! are written into the snapshot in place — and reports how many
+//! commands were torn or lost. The volume keeps serving from that state;
 //! [`Volume::scrub_repair`] is the pass that finds and closes the
 //! resulting write holes.
 
-use crate::data::SectorStore;
+use crate::data::sector_word;
 use crate::volume::Volume;
-use sim_disk::crash::{replay, CrashError, SectorImage};
+use sim_disk::crash::{for_each_durable, CrashError};
 use sim_disk::SimTime;
 
 /// What a [`Volume::power_cut`] resolution found.
@@ -40,26 +41,17 @@ pub struct PowerCutReport {
 
 impl Volume {
     /// Arms power-cut capture: snapshots every member's current data
-    /// plane as the replay base and enables each member drive's crash
-    /// log. Timing is unchanged — an armed run is bit-identical to an
-    /// unarmed one. Idempotent.
+    /// plane as the state a later cut is applied to, and enables each
+    /// member drive's crash log. Timing is unchanged — an armed run is
+    /// bit-identical to an unarmed one. Idempotent.
     pub fn arm_crash(&mut self) {
         if self.crash_base.is_some() {
             return;
         }
-        let mut base = Vec::with_capacity(self.members.len());
+        self.crash_base = Some(self.members.iter().map(|m| m.store.clone()).collect());
         for m in &mut self.members {
-            let mut img = SectorImage::new();
-            for pba in 0..m.store.capacity() {
-                let w = m.store.word(pba);
-                if w != 0 {
-                    img.set_word(pba, w);
-                }
-            }
             m.disk.enable_crash_log();
-            base.push(img);
         }
-        self.crash_base = Some(base);
     }
 
     /// Whether power-cut capture is armed.
@@ -114,7 +106,7 @@ impl Volume {
         let mut member_writes = Vec::with_capacity(self.members.len());
         let mut torn = 0u64;
         let mut lost = 0u64;
-        for (i, (m, base_img)) in self.members.iter_mut().zip(base).enumerate() {
+        for (i, (m, mut store)) in self.members.iter_mut().zip(base).enumerate() {
             let log = m.disk.take_crash_log().expect("armed member logs writes");
             for rec in &log.records {
                 let durable = rec.durable_count(cut);
@@ -125,11 +117,9 @@ impl Volume {
                 }
             }
             member_writes.push(log.len() as u64);
-            let img = replay(&base_img, &log, cut)?;
-            let mut store = SectorStore::new(m.store.capacity());
-            for (lbn, _) in img.iter() {
-                store.set_word(lbn, img.word(lbn));
-            }
+            for_each_durable(&log, cut, |lbn, sector| {
+                store.set_word(lbn, sector_word(sector))
+            })?;
             if !m.healthy {
                 store.scramble(i as u64);
             }

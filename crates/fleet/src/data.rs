@@ -7,6 +7,7 @@
 //! drives in sight.
 
 use crate::layout::{VolumeKind, VolumeLayout};
+use sim_disk::crash::{splitmix, SECTOR_USIZE};
 
 /// Per-member sector contents: one 64-bit word per physical LBN.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,16 +59,25 @@ impl SectorStore {
 }
 
 /// The canonical content of logical LBN `lbn` under fill seed `seed`: a
-/// splitmix-style mix, so every sector of every volume is distinct and
-/// any read can be verified against first principles.
+/// SplitMix64 hash, so every sector of every volume is distinct and any
+/// read can be verified against first principles.
 pub fn pattern_word(seed: u64, lbn: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(lbn)
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(lbn))
+}
+
+/// Packs one word per sector (little-endian in the first 8 bytes, rest
+/// zeros): the crash-log payload of a member write.
+pub(crate) fn words_payload(words: &[u64]) -> Vec<u8> {
+    let mut out = vec![0u8; words.len() * SECTOR_USIZE];
+    for (sector, w) in out.chunks_exact_mut(SECTOR_USIZE).zip(words) {
+        sector[..8].copy_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// The word a [`words_payload`] sector carries.
+pub(crate) fn sector_word(sector: &[u8; SECTOR_USIZE]) -> u64 {
+    u64::from_le_bytes(sector[..8].try_into().expect("8 bytes"))
 }
 
 /// Fills member stores with the canonical pattern for every logical LBN
@@ -140,5 +150,20 @@ pub fn reconstruct_unit(
             }
             out
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pattern_word_is_pinned() {
+        // Any drift changes the contents of every formatted volume and
+        // every committed fleet and crash baseline.
+        assert_eq!(pattern_word(0, 0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(pattern_word(0x5eed, 1000), 0xc2ea_cc70_ccf7_6aea);
+        assert_eq!(pattern_word(42, 83_999), 0x2088_9ae7_2918_9eab);
+        assert_eq!(pattern_word(u64::MAX, u64::MAX), 0xb4d0_55fc_f2cb_bd7b);
     }
 }

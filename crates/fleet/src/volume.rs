@@ -1,9 +1,8 @@
 //! The volume proper: member drives + data plane + degraded-mode service.
 
-use crate::data::{fill_stores, pattern_word, SectorStore};
+use crate::data::{fill_stores, pattern_word, words_payload, SectorStore};
 use crate::layout::{Chunk, StripePolicy, VolumeKind, VolumeLayout};
 use crate::FleetError;
-use sim_disk::crash::{words_payload, SectorImage};
 use sim_disk::disk::Disk;
 use sim_disk::request::{Completion, Op, Request};
 use sim_disk::SimTime;
@@ -118,9 +117,9 @@ pub struct Volume {
     pub(crate) layout: VolumeLayout,
     pub(crate) members: Vec<Member>,
     pub(crate) stats: VolumeStats,
-    /// Per-member base images snapshotted by [`Volume::arm_crash`]; the
-    /// state a power-cut replay starts from.
-    pub(crate) crash_base: Option<Vec<SectorImage>>,
+    /// Per-member stores snapshotted by [`Volume::arm_crash`]; the state
+    /// a power cut is applied to.
+    pub(crate) crash_base: Option<Vec<SectorStore>>,
     fill_seed: u64,
     write_seq: u64,
     spans: Option<SpanRecorder>,
@@ -420,6 +419,11 @@ impl Volume {
     /// The counters accumulated so far.
     pub fn stats(&self) -> &VolumeStats {
         &self.stats
+    }
+
+    /// Member `m`'s data plane, read-only.
+    pub fn member_store(&self, m: usize) -> &SectorStore {
+        &self.members[m].store
     }
 
     /// Per-member health flags.

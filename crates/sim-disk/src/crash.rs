@@ -185,68 +185,56 @@ impl SectorImage {
         }
     }
 
-    /// The sector's contents if it was ever written.
-    pub fn sector(&self, lbn: u64) -> Option<&[u8; SECTOR_USIZE]> {
-        self.sectors.get(&lbn).map(|b| &**b)
-    }
-
     /// Overwrites one sector.
     pub fn write(&mut self, lbn: u64, data: &[u8; SECTOR_USIZE]) {
         self.sectors.insert(lbn, Box::new(*data));
-    }
-
-    /// The first 8 bytes of the sector as a little-endian word — the
-    /// word-per-sector view used by data planes that track one `u64`
-    /// per sector (e.g. the fleet's member stores).
-    pub fn word(&self, lbn: u64) -> u64 {
-        match self.sectors.get(&lbn) {
-            Some(s) => u64::from_le_bytes(s[..8].try_into().expect("8 bytes")),
-            None => 0,
-        }
-    }
-
-    /// Writes `w` into the sector's first 8 bytes (rest zeros).
-    pub fn set_word(&mut self, lbn: u64, w: u64) {
-        let mut s = [0u8; SECTOR_USIZE];
-        s[..8].copy_from_slice(&w.to_le_bytes());
-        self.write(lbn, &s);
     }
 
     /// Number of sectors ever written.
     pub fn written_len(&self) -> usize {
         self.sectors.len()
     }
-
-    /// Iterates written sectors in LBN order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8; SECTOR_USIZE])> {
-        self.sectors.iter().map(|(&l, b)| (l, &**b))
-    }
 }
 
-/// Applies a power cut at `cut` to `image`: every logged sector whose
-/// durable instant is ≤ `cut` takes its payload bytes; everything else
-/// is untouched. Records are applied in log order (media order), so a
-/// sector written twice before the cut ends with the later payload.
-pub fn apply_cut(image: &mut SectorImage, log: &CrashLog, cut: SimTime) -> Result<(), CrashError> {
+/// Walks every logged sector that is durable at `cut`, in log (media)
+/// order, handing `visit` its LBN and the bytes it holds on media. A
+/// sector written twice before the cut is visited twice, the later write
+/// last, so applying each visit in turn yields the post-cut state of any
+/// sector store.
+///
+/// # Errors
+///
+/// [`CrashError::MissingPayload`] for the first write that has durable
+/// sectors but no attached payload; sectors visited before it stay
+/// visited.
+pub fn for_each_durable(
+    log: &CrashLog,
+    cut: SimTime,
+    mut visit: impl FnMut(u64, &[u8; SECTOR_USIZE]),
+) -> Result<(), CrashError> {
     for rec in &log.records {
-        let n = rec.len as usize;
-        let any = rec.durable.iter().take(n).any(|&d| d <= cut);
-        if !any {
+        if !rec.durable.iter().any(|&d| d <= cut) {
             continue;
         }
         let payload = rec
             .payload
             .as_deref()
             .ok_or(CrashError::MissingPayload { req: rec.req })?;
-        for i in 0..n {
-            if rec.durable[i] <= cut {
-                let mut s = [0u8; SECTOR_USIZE];
-                s.copy_from_slice(&payload[i * SECTOR_USIZE..(i + 1) * SECTOR_USIZE]);
-                image.write(rec.lbn + i as u64, &s);
+        let sectors = payload.chunks_exact(SECTOR_USIZE).zip(&rec.durable);
+        for (lbn, (sector, &durable)) in (rec.lbn..).zip(sectors) {
+            if durable <= cut {
+                visit(lbn, sector.try_into().expect("exact 512-byte chunk"));
             }
         }
     }
     Ok(())
+}
+
+/// Applies a power cut at `cut` to `image`: every logged sector whose
+/// durable instant is ≤ `cut` takes its payload bytes; everything else
+/// is untouched (see [`for_each_durable`]).
+pub fn apply_cut(image: &mut SectorImage, log: &CrashLog, cut: SimTime) -> Result<(), CrashError> {
+    for_each_durable(log, cut, |lbn, sector| image.write(lbn, sector))
 }
 
 /// [`apply_cut`] on a clone of `initial`: the on-media image an
@@ -261,9 +249,8 @@ pub fn replay(
     Ok(img)
 }
 
-/// SplitMix64 — the same finalizer the fault layer uses; exposed here
-/// so on-disk formats can derive checksums and fill patterns without a
-/// second hash implementation.
+/// SplitMix64 — the one seeded hash of the drive and volume layers: fault
+/// decisions, on-disk checksums, and fill patterns all derive from it.
 pub fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -302,16 +289,6 @@ pub fn pattern_payload(salt: u64, lbn: u64, len: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(len as usize * SECTOR_USIZE);
     for i in 0..len {
         out.extend_from_slice(&pattern_sector(salt, lbn + i));
-    }
-    out
-}
-
-/// Packs one `u64` word per sector (little-endian in the first 8 bytes,
-/// rest zeros) — the payload encoding for word-per-sector data planes.
-pub fn words_payload(words: &[u64]) -> Vec<u8> {
-    let mut out = vec![0u8; words.len() * SECTOR_USIZE];
-    for (i, w) in words.iter().enumerate() {
-        out[i * SECTOR_USIZE..i * SECTOR_USIZE + 8].copy_from_slice(&w.to_le_bytes());
     }
     out
 }

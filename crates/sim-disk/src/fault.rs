@@ -26,6 +26,7 @@
 //! request), so a fault-free run takes exactly the code path — and
 //! produces byte-identical output — it did before this module existed.
 
+use crate::crash::splitmix;
 use crate::{SimDur, SimTime};
 use std::fmt;
 
@@ -488,14 +489,6 @@ impl fmt::Display for CommandFault {
 }
 
 impl std::error::Error for CommandFault {}
-
-/// SplitMix64: the 64-bit finalizer used for all fault decisions.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Maps a hash to a uniform draw in `[0, 1)`.
 fn unit(key: u64) -> f64 {

@@ -9,7 +9,7 @@
 //! taken.
 //!
 //! The JSONL encoding produced by [`TraceEvent::to_json`] (one flat JSON
-//! object per line, decoded by [`TraceEvent::parse_json`]) is the
+//! object per line, decoded by `traxtent_bench::trace::parse_event`) is the
 //! **documented contract** for external tooling — the `trace_report`
 //! binary consumes it, and future fault-injection or file-system-layer
 //! work is expected to extend the event set rather than replace it. All
@@ -457,226 +457,6 @@ impl TraceEvent {
         s.push('}');
         s
     }
-
-    /// Decodes one JSONL line produced by [`TraceEvent::to_json`].
-    ///
-    /// Accepts exactly the flat-object encoding this module writes:
-    /// string, integer, and boolean values, no nesting, no escapes inside
-    /// strings. Returns a description of the first problem found.
-    pub fn parse_json(line: &str) -> Result<TraceEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{k}`"))
-        };
-        let num = |k: &str| -> Result<u64, String> {
-            match get(k)? {
-                JsonValue::Num(n) => Ok(*n),
-                _ => Err(format!("field `{k}` is not an integer")),
-            }
-        };
-        let string = |k: &str| -> Result<String, String> {
-            match get(k)? {
-                JsonValue::Str(s) => Ok(s.clone()),
-                _ => Err(format!("field `{k}` is not a string")),
-            }
-        };
-        let boolean = |k: &str| -> Result<bool, String> {
-            match get(k)? {
-                JsonValue::Bool(b) => Ok(*b),
-                _ => Err(format!("field `{k}` is not a boolean")),
-            }
-        };
-        let op = |k: &str| -> Result<Op, String> {
-            match string(k)?.as_str() {
-                "read" => Ok(Op::Read),
-                "write" => Ok(Op::Write),
-                other => Err(format!("unknown op `{other}`")),
-            }
-        };
-        let track = |k: &str| -> Result<u32, String> {
-            u32::try_from(num(k)?).map_err(|_| format!("field `{k}` exceeds u32"))
-        };
-
-        let ev = string("ev")?;
-        Ok(match ev.as_str() {
-            "issue" => TraceEvent::Issue {
-                req: num("req")?,
-                t: num("t")?,
-                op: op("op")?,
-                lbn: num("lbn")?,
-                len: num("len")?,
-            },
-            "queue" => TraceEvent::Queue {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-            },
-            "seek" => TraceEvent::Seek {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                from_cyl: track("from_cyl")?,
-                to_cyl: track("to_cyl")?,
-            },
-            "head_switch" => TraceEvent::HeadSwitch {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-            },
-            "settle" => TraceEvent::Settle {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-            },
-            "rot_wait" => TraceEvent::RotWait {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                track: track("track")?,
-            },
-            "media" => TraceEvent::Media {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                track: track("track")?,
-                sectors: num("sectors")?,
-            },
-            "cache_hit" => TraceEvent::CacheHit {
-                req: num("req")?,
-                t: num("t")?,
-                lbn: num("lbn")?,
-                len: num("len")?,
-            },
-            "cache_fill" => TraceEvent::CacheFill {
-                req: num("req")?,
-                t: num("t")?,
-                start: num("start")?,
-                end: num("end")?,
-            },
-            "bus" => TraceEvent::Bus {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                bytes: num("bytes")?,
-            },
-            "fault" => TraceEvent::Fault {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                kind: string("kind")?,
-                lbn: num("lbn")?,
-            },
-            "scsi_command" => TraceEvent::ScsiCommand {
-                t: num("t")?,
-                dur: num("dur")?,
-                kind: string("kind")?,
-            },
-            "complete" => TraceEvent::Complete {
-                req: num("req")?,
-                t: num("t")?,
-                op: op("op")?,
-                lbn: num("lbn")?,
-                len: num("len")?,
-                cache_hit: boolean("cache_hit")?,
-                queue: num("queue")?,
-                overhead: num("overhead")?,
-                seek: num("seek")?,
-                head_switch: num("head_switch")?,
-                rot_latency: num("rot_latency")?,
-                media: num("media")?,
-                bus: num("bus")?,
-                write_settle: num("write_settle")?,
-                response: num("response")?,
-            },
-            other => return Err(format!("unknown event `{other}`")),
-        })
-    }
-}
-
-/// The kind tag of an otherwise well-formed flat JSONL line, whether or
-/// not this library version recognizes it.
-///
-/// [`TraceEvent::parse_json`] rejects event kinds introduced after this
-/// version, and rejects causal-span records (`{"span": ...}` lines from
-/// `traxtent::obs::span`) outright. Report tooling uses this helper to
-/// distinguish a well-formed line of an unrecognized kind — count it and
-/// move on — from genuine corruption, which still marks the trace as
-/// truncated. Returns the `ev` field's value, `span:<name>` for span
-/// records, and `None` when the line is not a flat object carrying
-/// either tag.
-pub fn peek_event_name(line: &str) -> Option<String> {
-    let fields = parse_flat_object(line).ok()?;
-    let text_field = |wanted: &str| {
-        fields.iter().find_map(|(key, value)| match value {
-            JsonValue::Str(s) if key == wanted => Some(s.clone()),
-            _ => None,
-        })
-    };
-    text_field("ev").or_else(|| text_field("span").map(|name| format!("span:{name}")))
-}
-
-/// A decoded flat-JSON value: the only three shapes the trace schema uses.
-enum JsonValue {
-    Num(u64),
-    Str(String),
-    Bool(bool),
-}
-
-/// Parses a single-level JSON object of string/integer/boolean fields.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        // Key.
-        rest = rest.strip_prefix('"').ok_or("expected a quoted key")?;
-        let close = rest.find('"').ok_or("unterminated key")?;
-        let key = rest[..close].to_string();
-        rest = rest[close + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or("expected `:` after key")?
-            .trim_start();
-        // Value.
-        let (value, after) = if let Some(srest) = rest.strip_prefix('"') {
-            let close = srest.find('"').ok_or("unterminated string value")?;
-            (
-                JsonValue::Str(srest[..close].to_string()),
-                &srest[close + 1..],
-            )
-        } else if let Some(after) = rest.strip_prefix("true") {
-            (JsonValue::Bool(true), after)
-        } else if let Some(after) = rest.strip_prefix("false") {
-            (JsonValue::Bool(false), after)
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end == 0 {
-                return Err(format!("unparsable value near `{rest}`"));
-            }
-            let n: u64 = rest[..end]
-                .parse()
-                .map_err(|_| format!("bad integer near `{rest}`"))?;
-            (JsonValue::Num(n), &rest[end..])
-        };
-        fields.push((key, value));
-        rest = after.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(format!("expected `,` near `{rest}`"));
-        }
-    }
-    Ok(fields)
 }
 
 /// A consumer of trace events.
@@ -843,32 +623,6 @@ impl TraceSink for Fanout {
 mod tests {
     use super::*;
 
-    #[test]
-    fn peek_event_name_reads_known_unknown_and_span_kinds() {
-        assert_eq!(
-            peek_event_name(r#"{"ev": "seek", "req": 1, "t": 2, "dur": 3, "cyls": 4}"#).as_deref(),
-            Some("seek")
-        );
-        assert_eq!(
-            peek_event_name(r#"{"ev": "from_the_future", "req": 1}"#).as_deref(),
-            Some("from_the_future"),
-            "unknown kinds are still identifiable"
-        );
-        assert_eq!(
-            peek_event_name(
-                r#"{"span":"vol_cmd","id":7,"parent":1,"track":2,"start":0,"end":9,"attrs":""}"#
-            )
-            .as_deref(),
-            Some("span:vol_cmd")
-        );
-        assert_eq!(peek_event_name("garbage"), None);
-        assert_eq!(
-            peek_event_name(r#"{"req": 1, "t": 2}"#),
-            None,
-            "no kind tag"
-        );
-    }
-
     fn samples() -> Vec<TraceEvent> {
         vec![
             TraceEvent::Issue {
@@ -964,17 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_every_variant() {
-        for e in samples() {
-            let line = e.to_json();
-            let back = TraceEvent::parse_json(&line).unwrap_or_else(|err| {
-                panic!("parse of {line} failed: {err}");
-            });
-            assert_eq!(e, back, "line {line}");
-        }
-    }
-
-    #[test]
     fn json_is_one_flat_object_per_event() {
         for e in samples() {
             let line = e.to_json();
@@ -982,16 +725,6 @@ mod tests {
             assert!(line.ends_with('}'));
             assert!(!line.contains('\n'));
         }
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(TraceEvent::parse_json("").is_err());
-        assert!(TraceEvent::parse_json("{}").is_err());
-        assert!(TraceEvent::parse_json("{\"ev\":\"nope\"}").is_err());
-        assert!(TraceEvent::parse_json("{\"ev\":\"queue\",\"req\":1}").is_err());
-        assert!(TraceEvent::parse_json("{\"ev\":\"queue\",\"req\":-1,\"t\":0,\"dur\":0}").is_err());
-        assert!(TraceEvent::parse_json("not json").is_err());
     }
 
     #[test]
@@ -1015,11 +748,9 @@ mod tests {
         sink.flush();
         assert_eq!(sink.written(), samples().len() as u64);
         let text = String::from_utf8(sink.out.into_inner().unwrap()).unwrap();
-        let parsed: Vec<TraceEvent> = text
-            .lines()
-            .map(|l| TraceEvent::parse_json(l).unwrap())
-            .collect();
-        assert_eq!(parsed, samples());
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let expected: Vec<String> = samples().iter().map(TraceEvent::to_json).collect();
+        assert_eq!(lines, expected, "one `to_json` line per event");
     }
 
     #[test]

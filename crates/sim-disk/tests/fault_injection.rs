@@ -256,12 +256,4 @@ fn jitter_perturbs_timings_but_preserves_accounting() {
     }
     assert_eq!(completes, 200);
     assert!(fault_events > 0, "the fault stream must be visible");
-    // Fault events survive the JSONL round trip.
-    for e in events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Fault { .. }))
-    {
-        let back = TraceEvent::parse_json(&e.to_json()).expect("fault event parses");
-        assert_eq!(&back, e);
-    }
 }

@@ -4,7 +4,7 @@
 
 use sim_disk::disk::{Disk, Op, Request};
 use sim_disk::models;
-use sim_disk::trace::{JsonlSink, MemorySink, TraceEvent, Tracer};
+use sim_disk::trace::{MemorySink, TraceEvent, Tracer};
 use sim_disk::{SimDur, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -143,55 +143,6 @@ fn phase_events_match_their_summary() {
     }
     // The burst arrivals above must actually have exercised queueing.
     assert!(completions.iter().any(|c| c.breakdown.queue > SimDur::ZERO));
-}
-
-/// The full event stream survives a JSONL write + parse round trip.
-#[test]
-fn jsonl_round_trip_preserves_the_stream() {
-    let path = std::env::temp_dir().join("sim_disk_trace_invariants.jsonl");
-    let sink = Arc::new(Mutex::new(
-        JsonlSink::create(&path).expect("temp trace file"),
-    ));
-    let mut cfg = models::quantum_atlas_10k_ii();
-    cfg.tracer = Some(Tracer::new(sink));
-    let mut disk = Disk::new(cfg);
-    let mut expected = Vec::new();
-    let mem = Arc::new(Mutex::new(MemorySink::new()));
-    disk.set_tracer(Some(Tracer::new(mem.clone())));
-    // One tracer at a time: run the same workload twice, once per sink.
-    for trial in 0..2 {
-        disk.reset();
-        if trial == 1 {
-            let jsonl = Arc::new(Mutex::new(
-                JsonlSink::create(&path).expect("temp trace file"),
-            ));
-            disk.set_tracer(Some(Tracer::new(jsonl)));
-        }
-        let mut t = SimTime::ZERO;
-        for i in 0..100u64 {
-            let lbn = (i * 1_234_567) % 4_000_000;
-            let c = disk.service(Request::read(lbn, 64 + (i % 512)), t);
-            t = c.completion;
-        }
-        if trial == 0 {
-            expected = mem.lock().expect("sink").take_events();
-        }
-    }
-    disk.set_tracer(None); // drop the sink so the file is flushed
-
-    let text = std::fs::read_to_string(&path).expect("trace file");
-    let parsed: Vec<TraceEvent> = text
-        .lines()
-        .map(|l| TraceEvent::parse_json(l).expect("valid event"))
-        .collect();
-    // Request ids differ (the sequence number keeps counting across
-    // reset()), but everything else must match event for event.
-    assert_eq!(parsed.len(), expected.len());
-    for (a, b) in expected.iter().zip(&parsed) {
-        assert_eq!(a.name(), b.name());
-        assert_eq!(a.time_ns(), b.time_ns());
-    }
-    std::fs::remove_file(&path).ok();
 }
 
 /// Attaching a tracer must not change a single completion time.
