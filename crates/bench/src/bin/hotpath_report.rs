@@ -1,6 +1,8 @@
 //! Generates `BENCH_hotpaths.json`: wall-clock for every figure binary run
 //! sequentially (`--threads 1`) versus at the default worker count, plus
-//! in-process medians for the sim-disk hot paths the executor leans on.
+//! in-process medians for the library hot paths every figure leans on:
+//! LBN↔physical translation, drive service, the rotation kernel,
+//! boundary-table queries, the traxtent allocator and `serve()`.
 //!
 //! Every parallel run's stdout is byte-compared against the sequential
 //! run's — the report fails loudly if the executor's determinism guarantee
@@ -18,7 +20,8 @@ use std::hint::black_box;
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
-use traxtent_bench::manifest::json_string;
+use traxtent::obs::json_string;
+use traxtent::{Extent, TrackBoundaries, TraxtentAllocator};
 use traxtent_bench::{default_threads, Cli};
 
 const BINARIES: &[&str] = &[
@@ -35,8 +38,7 @@ const BINARIES: &[&str] = &[
     "ablation",
 ];
 
-/// Median ns/iter over 11 samples of a calibrated batch (≥2 ms per batch),
-/// the same scheme the Criterion benches use.
+/// Median ns/iter over 11 samples of a calibrated batch (≥2 ms per batch).
 fn median_ns(mut f: impl FnMut()) -> f64 {
     let mut batch = 1u64;
     loop {
@@ -100,7 +102,30 @@ fn hotpath_medians() -> Vec<(&'static str, f64)> {
             black_box(geom.track_of_lbn(black_box(lbn)).unwrap());
         }),
     ));
+    let mut lbn = 0u64;
+    out.push((
+        "geometry/track_bounds",
+        median_ns(|| {
+            lbn = (lbn.wrapping_mul(6364136223846793005).wrapping_add(1)) % cap;
+            black_box(geom.track_bounds(black_box(lbn)).unwrap());
+        }),
+    ));
 
+    let mut disk = Disk::new(models::quantum_atlas_10k_ii());
+    let mut t = SimTime::ZERO;
+    let mut lbn = 0u64;
+    out.push((
+        "disk/track_read",
+        median_ns(|| {
+            lbn = (lbn + 52800) % 4_000_000;
+            let done = disk.service(Request::read(lbn, 528), t);
+            t = done.completion;
+            black_box(done.completion);
+        }),
+    ));
+    // The zero-latency access-on-arrival scan dominates full-track reads:
+    // an infinite bus isolates it from bus-delivery chaining, and the
+    // random stride defeats the firmware cache.
     let zl_cfg = DiskConfig {
         bus: BusConfig::infinite(),
         ..models::quantum_atlas_10k_ii()
@@ -142,6 +167,35 @@ fn hotpath_medians() -> Vec<(&'static str, f64)> {
                 angle -= 1.0;
             }
             black_box(sim_disk::rotation::window_closed(track, angle, 0, spt));
+        }),
+    ));
+
+    let tb = TrackBoundaries::uniform(52_014, 440);
+    let mut lbn = 0u64;
+    out.push((
+        "boundaries/clip_to_track",
+        median_ns(|| {
+            lbn = (lbn.wrapping_mul(2862933555777941757).wrapping_add(3)) % tb.capacity();
+            black_box(tb.clip_to_track(black_box(lbn), 528));
+        }),
+    ));
+    // Built once, outside the timed closure: each iteration frees every
+    // extent it took, so the free map returns to one run and the timed
+    // work repeats exactly.
+    let mut alloc = TraxtentAllocator::new(TrackBoundaries::uniform(4096, 440));
+    out.push((
+        "alloc/traxtent_alloc_free",
+        median_ns(|| {
+            let mut got: Vec<Extent> = Vec::new();
+            for i in 0..64 {
+                if let Some(e) = alloc.alloc_traxtent(i * 8111) {
+                    got.push(e);
+                }
+            }
+            for e in got {
+                alloc.free(e);
+            }
+            black_box(alloc.free_sectors());
         }),
     ));
 

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use traxtent::obs::{Registry, Snapshot};
+use traxtent::obs::{json_string, Registry, Snapshot};
 
 /// One run's manifest: configuration, cost, headline results, and metrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,27 +300,6 @@ fn git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Quotes and escapes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Formats a finite `f64` so it round-trips through [`json::parse`].

@@ -53,4 +53,4 @@ pub mod stats;
 pub use alloc::TraxtentAllocator;
 pub use boundaries::{BoundariesError, ConfidentBoundaries, TrackBoundaries};
 pub use extent::Extent;
-pub use planner::{PlanStatsSnapshot, RequestPlanner, StripePlanner};
+pub use planner::{PlanStatsSnapshot, RequestPlanner};

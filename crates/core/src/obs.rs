@@ -31,7 +31,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -154,29 +154,42 @@ impl Snapshot {
     }
 
     /// The snapshot as one flat JSON object (`{"a.b": 1, ...}`), keys
-    /// sorted. Names never need escaping beyond quotes/backslashes because
-    /// instrumentation uses plain dotted identifiers, but both are escaped
-    /// anyway.
+    /// sorted and escaped by [`json_string`].
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, value)) in self.entries.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push('"');
-            for c in name.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c => out.push(c),
-                }
-            }
-            out.push_str("\": ");
+            out.push_str(&json_string(name));
+            out.push_str(": ");
             out.push_str(&value.to_string());
         }
         out.push('}');
         out
     }
+}
+
+/// Quotes and escapes `s` as a JSON string literal: `"`, `\`, `\n`, `\t`
+/// and `\r` get their short escapes, other control characters `\u00XX`.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 impl fmt::Display for Snapshot {
@@ -249,6 +262,14 @@ mod tests {
         assert!(snap.is_empty());
         assert_eq!(snap.to_json(), "{}");
         assert_eq!(snap.to_string(), "");
+    }
+
+    #[test]
+    fn json_string_escapes_control_characters() {
+        assert_eq!(
+            json_string("a\n\t\r\u{1}\u{1f} b"),
+            r#""a\n\t\r\u0001\u001f b""#
+        );
     }
 
     #[test]

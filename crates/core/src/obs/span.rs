@@ -37,6 +37,7 @@
 //! assert_eq!(span::validate(&spans).unwrap().roots, 1);
 //! ```
 
+use super::json_string;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -143,14 +144,14 @@ impl Span {
     /// The span as one flat JSON object (one JSONL line, no newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"span\":\"{}\",\"id\":{},\"parent\":{},\"track\":{},\"start\":{},\"end\":{},\"attrs\":\"{}\"}}",
-            escape(&self.name),
+            "{{\"span\":{},\"id\":{},\"parent\":{},\"track\":{},\"start\":{},\"end\":{},\"attrs\":{}}}",
+            json_string(&self.name),
             self.id,
             self.parent,
             self.track,
             self.start_ns,
             self.end_ns,
-            escape(&self.attrs),
+            json_string(&self.attrs),
         )
     }
 
@@ -161,18 +162,6 @@ impl Span {
             (k == key).then_some(v)
         })
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The shared span collection point: cheap-to-clone handle over one
@@ -357,14 +346,14 @@ pub fn chrome_trace(spans: &[Span]) -> String {
     }
     for s in spans {
         push(&mut out, format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"id\":\"{:#x}\",\"parent\":\"{:#x}\",\"attrs\":\"{}\"}}}}",
-            escape(&s.name),
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"id\":\"{:#x}\",\"parent\":\"{:#x}\",\"attrs\":{}}}}}",
+            json_string(&s.name),
             s.track + 1,
             us(s.start_ns),
             us(s.duration_ns()),
             s.id,
             s.parent,
-            escape(&s.attrs),
+            json_string(&s.attrs),
         ));
     }
     out.push_str("\n]}\n");

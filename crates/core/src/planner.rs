@@ -231,96 +231,3 @@ mod tests {
         assert_eq!(p.clone().stats(), s);
     }
 }
-
-/// Generalized boundary planning: §1 notes that variable-sized extents let
-/// a file system honor *other* boundary-related goals with the same
-/// machinery — e.g. matching writes to RAID 5 stripe boundaries to avoid
-/// read-modify-write cycles. `StripePlanner` composes a stripe grid with a
-/// track-boundary table: requests are clipped at whichever boundary comes
-/// first.
-#[derive(Debug, Clone)]
-pub struct StripePlanner {
-    tracks: RequestPlanner,
-    /// Stripe unit in sectors.
-    stripe: u64,
-}
-
-impl StripePlanner {
-    /// Creates a planner over `boundaries` with the given stripe unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripe_sectors` is zero.
-    pub fn new(boundaries: TrackBoundaries, stripe_sectors: u64) -> Self {
-        assert!(stripe_sectors > 0, "stripe unit must be positive");
-        StripePlanner {
-            tracks: RequestPlanner::new(boundaries),
-            stripe: stripe_sectors,
-        }
-    }
-
-    /// Next stripe boundary strictly after `lbn`.
-    pub fn next_stripe_boundary(&self, lbn: u64) -> u64 {
-        (lbn / self.stripe + 1) * self.stripe
-    }
-
-    /// Plans a write-back clipped at both the next track boundary and the
-    /// next stripe boundary, so a full-stripe write never degenerates into
-    /// a read-modify-write and a track write never crosses a track.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is at or beyond capacity or `want` is zero.
-    pub fn plan_writeback(&self, start: u64, want: u64) -> u64 {
-        let track_clipped = self.tracks.plan_writeback(start, want);
-        track_clipped.min(self.next_stripe_boundary(start) - start)
-    }
-
-    /// True if `[start, start+len)` crosses neither kind of boundary.
-    pub fn is_local(&self, start: u64, len: u64) -> bool {
-        self.tracks.is_track_local(start, len) && start + len <= self.next_stripe_boundary(start)
-    }
-}
-
-#[cfg(test)]
-mod stripe_tests {
-    use super::*;
-
-    #[test]
-    fn clips_at_the_nearer_boundary() {
-        // Tracks of 100, stripes of 64.
-        let tb = TrackBoundaries::uniform(10, 100);
-        let p = StripePlanner::new(tb, 64);
-        // From 0: stripe ends at 64, track at 100 → clip at 64.
-        assert_eq!(p.plan_writeback(0, 1000), 64);
-        // From 70: track ends at 100, stripe at 128 → clip at 100.
-        assert_eq!(p.plan_writeback(70, 1000), 30);
-        // Small writes untouched.
-        assert_eq!(p.plan_writeback(10, 5), 5);
-    }
-
-    #[test]
-    fn locality_respects_both_grids() {
-        let tb = TrackBoundaries::uniform(10, 100);
-        let p = StripePlanner::new(tb, 64);
-        assert!(p.is_local(0, 64));
-        assert!(!p.is_local(0, 65));
-        assert!(p.is_local(64, 36));
-        assert!(!p.is_local(64, 37), "crosses the track at 100");
-    }
-
-    #[test]
-    fn stripe_boundary_math() {
-        let tb = TrackBoundaries::uniform(4, 100);
-        let p = StripePlanner::new(tb, 64);
-        assert_eq!(p.next_stripe_boundary(0), 64);
-        assert_eq!(p.next_stripe_boundary(63), 64);
-        assert_eq!(p.next_stripe_boundary(64), 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "stripe unit must be positive")]
-    fn zero_stripe_rejected() {
-        let _ = StripePlanner::new(TrackBoundaries::uniform(2, 10), 0);
-    }
-}

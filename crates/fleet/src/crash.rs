@@ -54,11 +54,6 @@ impl Volume {
         }
     }
 
-    /// Whether power-cut capture is armed.
-    pub fn crash_armed(&self) -> bool {
-        self.crash_base.is_some()
-    }
-
     /// Read-only view of member `m`'s crash log (`None` before
     /// [`Volume::arm_crash`]). Sweeps use the logged per-sector durable
     /// instants to aim cuts at interesting places — mid-transfer, between

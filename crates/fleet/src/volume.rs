@@ -173,7 +173,7 @@ impl AccessSpans {
             end.as_ns(),
         );
         s.push_attr("member", m);
-        s.push_attr("op", op_label(req.op));
+        s.push_attr("op", req.op.label());
         s.push_attr("pstart", req.lbn);
         s.push_attr("len", req.len);
         s.push_attr("role", role);
@@ -220,7 +220,7 @@ impl AccessSpans {
             at.as_ns(),
             done.as_ns(),
         );
-        v.push_attr("op", op_label(req.op));
+        v.push_attr("op", req.op.label());
         v.push_attr("lbn", req.lbn);
         v.push_attr("len", req.len);
         for mode in std::mem::take(&mut self.notes) {
@@ -235,13 +235,6 @@ impl AccessSpans {
 impl Drop for AccessSpans {
     fn drop(&mut self) {
         self.rec.set_context(self.saved.0, self.saved.1);
-    }
-}
-
-fn op_label(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
     }
 }
 

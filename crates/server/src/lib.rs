@@ -62,7 +62,7 @@ pub use obs::DiskSpanBridge;
 pub use sched::{CLook, Dispatch, Fifo, Scheduler, SchedulerKind, Traxtent};
 pub use timeline::{Sampler, SloConfig, SloSummary, Timeline, TimelineBucket, TimelineConfig};
 
-use sim_disk::disk::{Disk, Op, Request};
+use sim_disk::disk::{Disk, Request};
 use sim_disk::{Completion, SimTime};
 use std::error::Error;
 use std::fmt;
@@ -305,16 +305,6 @@ impl ServerResult {
         }
     }
 
-    /// Fraction of arrivals refused admission.
-    pub fn rejection_fraction(&self) -> f64 {
-        let total = self.completed() + self.rejected();
-        if total > 0 {
-            self.rejected() as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Exports counters into the observability registry under `server.*`
     /// (totals accumulate across sweep cells sharing one registry; the
     /// depth high-water mark merges via `set_max`).
@@ -546,13 +536,6 @@ pub fn serve<B: Backend + ?Sized>(
     })
 }
 
-fn op_label(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
-    }
-}
-
 /// Records the two-span tree of a rejected arrival.
 fn record_rejection(rec: &SpanRecorder, id: u64, r: &TraceRecord, limit: usize) {
     let salt = rec.salt();
@@ -560,7 +543,7 @@ fn record_rejection(rec: &SpanRecorder, id: u64, r: &TraceRecord, limit: usize) 
     let root_id = span::derive_id(salt, span::kind::REQUEST, id, 0);
     let mut root = Span::new(root_id, 0, "request", 0, t, t);
     root.push_attr("id", id);
-    root.push_attr("op", op_label(r.request.op));
+    root.push_attr("op", r.request.op.label());
     root.push_attr("lbn", r.request.lbn);
     root.push_attr("len", r.request.len);
     root.push_attr("rejected", 1);
@@ -595,7 +578,7 @@ fn record_dispatch(
         let root_id = span::derive_id(salt, span::kind::REQUEST, p.id, 0);
         let mut root = Span::new(root_id, 0, "request", 0, arr, done);
         root.push_attr("id", p.id);
-        root.push_attr("op", op_label(p.request.op));
+        root.push_attr("op", p.request.op.label());
         root.push_attr("lbn", p.request.lbn);
         root.push_attr("len", p.request.len);
         buf.push(root);

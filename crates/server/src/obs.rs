@@ -19,7 +19,6 @@
 //! one contiguous batch under the tracer lock, so the bridge needs no
 //! per-drive state and the output is byte-identical at any `--threads`.
 
-use sim_disk::disk::Op;
 use sim_disk::trace::{TraceEvent, TraceSink};
 use traxtent::obs::span::{self, Span, SpanRecorder};
 
@@ -64,13 +63,6 @@ impl DiskSpanBridge {
         self.scratch
             .push(Span::new(id, open.span_id, name, open.track, t, t + dur));
         self.scratch.last_mut()
-    }
-}
-
-fn op_label(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
     }
 }
 
@@ -180,7 +172,7 @@ impl TraceSink for DiskSpanBridge {
                         open.start_ns,
                         *t,
                     );
-                    cmd.push_attr("op", op_label(*op));
+                    cmd.push_attr("op", op.label());
                     cmd.push_attr("lbn", lbn);
                     cmd.push_attr("len", len);
                     if *cache_hit {
@@ -197,6 +189,7 @@ impl TraceSink for DiskSpanBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_disk::disk::Op;
     use sim_disk::trace::Tracer;
 
     fn drive_events(rid: u64) -> Vec<TraceEvent> {

@@ -187,8 +187,9 @@ impl Scheduler for CLook {
 /// C-LOOK plus track-aligned coalescing on trusted tracks.
 #[derive(Debug)]
 pub struct Traxtent {
-    pos: u64,
-    wraps: u64,
+    /// The sweep position and wrap count; untrusted rounds are this
+    /// elevator's own rounds.
+    clook: CLook,
     boundaries: ConfidentBoundaries,
     threshold: f64,
 }
@@ -199,8 +200,7 @@ impl Traxtent {
     /// with plain C-LOOK.
     pub fn new(boundaries: ConfidentBoundaries, threshold: f64) -> Self {
         Traxtent {
-            pos: 0,
-            wraps: 0,
+            clook: CLook::new(),
             boundaries,
             threshold,
         }
@@ -228,7 +228,7 @@ impl Traxtent {
 
 impl Scheduler for Traxtent {
     fn select(&mut self, pending: &mut Vec<Queued>, max_batch: usize) -> Vec<Dispatch> {
-        let anchor_idx = sweep_indices(pending, &mut self.pos, &mut self.wraps, 1);
+        let anchor_idx = sweep_indices(pending, &mut self.clook.pos, &mut self.clook.wraps, 1);
         let Some(&a) = anchor_idx.first() else {
             return Vec::new();
         };
@@ -241,12 +241,7 @@ impl Scheduler for Traxtent {
         if !(trusted && in_track) {
             // Unknown boundary (or a client request that itself straddles
             // one): no coalescing is safe, serve this round as C-LOOK.
-            let idx = sweep_indices(pending, &mut self.pos, &mut self.wraps, max_batch);
-            let taken = take_indices(pending, &idx);
-            if let Some(last) = taken.last() {
-                self.pos = last.request.lbn;
-            }
-            return taken.into_iter().map(Dispatch::single).collect();
+            return self.clook.select(pending, max_batch);
         }
         // Trusted track: gather every queued request lying entirely on
         // the anchor's track (up to the batch bound) and coalesce.
@@ -259,12 +254,12 @@ impl Scheduler for Traxtent {
         idx.sort_by_key(|&i| (pending[i].request.lbn, pending[i].id));
         idx.truncate(max_batch);
         let taken = take_indices(pending, &idx);
-        self.pos = taken.last().expect("anchor is always gathered").request.lbn;
+        self.clook.pos = taken.last().expect("anchor is always gathered").request.lbn;
         Traxtent::coalesce(taken)
     }
 
     fn wraps(&self) -> u64 {
-        self.wraps
+        self.clook.wraps
     }
 }
 

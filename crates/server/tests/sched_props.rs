@@ -8,12 +8,13 @@
 //!   request is dispatched within two wrap-arounds of its admission;
 //! * traxtent-aware coalesced batches never cross a trusted track
 //!   boundary, merge only contiguous same-op runs, and only form on
-//!   tracks whose confidence clears the threshold.
+//!   tracks whose confidence clears the threshold;
+//! * with no trusted track, the traxtent scheduler is C-LOOK.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
+use server::{serve, CLook, Dispatch, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
 use sim_disk::disk::{Disk, Op, Request};
 use sim_disk::{models, SimTime};
 use traxtent::{ConfidentBoundaries, TrackBoundaries};
@@ -209,5 +210,51 @@ proptest! {
         drain(&mut sched, &mut pending, &mut dispatched, true);
         prop_assert!(pending.is_empty());
         prop_assert!(dispatched.iter().all(|&d| d), "every request dispatched");
+    }
+
+    /// With every track's confidence below the threshold the traxtent
+    /// scheduler falls back to C-LOOK on every round: the same dispatches
+    /// and the same wrap count as a C-LOOK elevator fed the same queue,
+    /// round after round until the queue drains.
+    #[test]
+    fn untrusted_traxtent_is_clook(
+        case in arb_table_case(),
+        threshold in 0.3f64..0.95,
+        max_batch in 1usize..12,
+        arrive_seed in 0u64..1_000_000,
+    ) {
+        let (tracks, raw) = case;
+        let lens: Vec<u64> = tracks.iter().map(|(l, _)| *l).collect();
+        // Every confidence strictly below the threshold.
+        let confs: Vec<f64> = tracks.iter().map(|(_, c)| c * threshold).collect();
+        let table = TrackBoundaries::from_track_lengths(lens).unwrap();
+        let cap = table.capacity();
+        let mut trax = Traxtent::new(ConfidentBoundaries::new(table, confs).unwrap(), threshold);
+        let mut clook = CLook::new();
+        let (mut pa, mut pb): (Vec<Queued>, Vec<Queued>) = (Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(arrive_seed);
+        let mut next = 0usize;
+        let key = |ds: Vec<Dispatch>| -> Vec<(Request, Vec<u64>)> {
+            ds.into_iter()
+                .map(|d| (d.request, d.parts.iter().map(|p| p.id).collect()))
+                .collect()
+        };
+        while next < raw.len() || !pa.is_empty() {
+            let burst = if next < raw.len() { rng.gen_range(0..4) } else { 0 };
+            for _ in 0..burst.min(raw.len() - next) {
+                let (lbn_seed, len_seed, op_flag) = raw[next];
+                let lbn = lbn_seed % cap;
+                let len = len_seed.min(cap - lbn).max(1);
+                let op = if op_flag == 0 { Op::Read } else { Op::Write };
+                pa.push(q(next as u64, op, lbn, len));
+                pb.push(q(next as u64, op, lbn, len));
+                next += 1;
+            }
+            let a = key(trax.select(&mut pa, max_batch));
+            let b = key(clook.select(&mut pb, max_batch));
+            prop_assert_eq!(a, b, "same dispatches");
+            prop_assert_eq!(trax.wraps(), clook.wraps(), "same wraps");
+        }
+        prop_assert!(pb.is_empty());
     }
 }

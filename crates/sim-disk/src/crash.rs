@@ -65,11 +65,6 @@ pub struct WriteRecord {
 }
 
 impl WriteRecord {
-    /// Whether sector `i` (0-based within the write) was durable at `cut`.
-    pub fn sector_durable(&self, i: usize, cut: SimTime) -> bool {
-        self.durable[i] <= cut
-    }
-
     /// How many of the write's sectors were durable at `cut`.
     pub fn durable_count(&self, cut: SimTime) -> usize {
         self.durable.iter().filter(|&&d| d <= cut).count()

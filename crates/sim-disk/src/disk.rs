@@ -351,13 +351,6 @@ impl Disk {
         }
     }
 
-    /// [`Disk::service_batch_into`], collecting into a fresh vector.
-    pub fn service_batch(&mut self, batch: &[(Request, SimTime)]) -> Vec<Completion> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.service_batch_into(batch, &mut out);
-        out
-    }
-
     /// Like [`Disk::service`], but surfaces failures the way a real drive
     /// does — as CHECK CONDITION results — instead of recovering them in
     /// firmware:
@@ -1397,7 +1390,8 @@ mod tests {
             batch.push((req, SimTime::from_ns(t)));
         }
         let mut a = mk();
-        let batched = a.service_batch(&batch);
+        let mut batched = Vec::new();
+        a.service_batch_into(&batch, &mut batched);
         let mut b = mk();
         let looped: Vec<Completion> = batch.iter().map(|&(r, at)| b.service(r, at)).collect();
         assert_eq!(batched, looped);

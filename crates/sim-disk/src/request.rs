@@ -13,6 +13,16 @@ pub enum Op {
     Write,
 }
 
+impl Op {
+    /// The lower-case name every export uses: `"read"` or `"write"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Op::Read => "read",
+            Op::Write => "write",
+        }
+    }
+}
+
 /// A block-level request: `len` sectors starting at `lbn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Request {

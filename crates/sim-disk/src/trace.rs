@@ -239,13 +239,6 @@ pub enum TraceEvent {
     },
 }
 
-fn op_name(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
-    }
-}
-
 impl TraceEvent {
     /// The event's schema name, as emitted in the JSONL `ev` field.
     pub fn name(&self) -> &'static str {
@@ -330,7 +323,7 @@ impl TraceEvent {
                 num(&mut s, "req", *req);
                 num(&mut s, "t", *t);
                 s.push_str(",\"op\":\"");
-                s.push_str(op_name(*op));
+                s.push_str(op.label());
                 s.push('"');
                 num(&mut s, "lbn", *lbn);
                 num(&mut s, "len", *len);
@@ -437,7 +430,7 @@ impl TraceEvent {
                 num(&mut s, "req", *req);
                 num(&mut s, "t", *t);
                 s.push_str(",\"op\":\"");
-                s.push_str(op_name(*op));
+                s.push_str(op.label());
                 s.push('"');
                 num(&mut s, "lbn", *lbn);
                 num(&mut s, "len", *len);

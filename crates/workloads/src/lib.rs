@@ -8,8 +8,8 @@
 //!   mix, an SSH-build-like phase mix, and `head*`;
 //! * [`replay`] — timestamped block-trace replay through the batched
 //!   service API, the engine-throughput workload;
-//! * [`arrivals`] — open-loop arrival generators (Poisson, bursty ON/OFF,
-//!   diurnal tenant mixes, concurrent video-style streams) emitting
+//! * [`arrivals`] — open-loop arrival generators (Poisson and concurrent
+//!   video-style streams) emitting
 //!   [`replay`]-format traces for the storage-server experiments.
 
 #![warn(missing_docs)]

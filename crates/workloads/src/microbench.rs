@@ -250,26 +250,6 @@ pub fn run_random_io(disk: &mut Disk, spec: &RandomIoSpec) -> RandomIoResult {
     }
 }
 
-/// Convenience: the four curves of Figure 6 at one request size, returning
-/// mean head times in ms as `(onereq_unaligned, onereq_aligned,
-/// tworeq_unaligned, tworeq_aligned)`.
-pub fn head_times_at(disk: &mut Disk, io_sectors: u64) -> (f64, f64, f64, f64) {
-    let mut run = |alignment, queue| {
-        let spec = RandomIoSpec {
-            count: 2000,
-            ..RandomIoSpec::reads(io_sectors, alignment, queue)
-        };
-        let r = run_random_io(disk, &spec);
-        r.mean_head_time(queue).as_millis_f64()
-    };
-    (
-        run(Alignment::Unaligned, QueueDepth::One),
-        run(Alignment::TrackAligned, QueueDepth::One),
-        run(Alignment::Unaligned, QueueDepth::Two),
-        run(Alignment::TrackAligned, QueueDepth::Two),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
