@@ -130,7 +130,7 @@ fn build_members(
                 400 + 250 * m as u32,
                 seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(m as u64 + 1),
             ));
-            // The span bridge rides alongside any --trace/--metrics sink;
+            // The span bridge rides alongside any --trace sink;
             // it only records while the volume holds a request context, so
             // the dixtrac extraction below stays invisible to it.
             if let Some(rec) = rec {

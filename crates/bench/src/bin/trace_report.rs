@@ -8,11 +8,27 @@
 //! trace_report /tmp/fig3.jsonl
 //! ```
 
-use sim_disk::metrics::{MetricsRegistry, PHASES};
+use sim_disk::request::Op;
 use sim_disk::trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::io::BufRead;
+use traxtent::stats::percentile;
 use traxtent_bench::trace::{parse_event, peek_event_name};
+
+/// The phases of a [`TraceEvent::Complete`] in report order. `response` is
+/// the host-observed end-to-end time; the other eight are its additive
+/// components.
+const PHASES: [&str; 9] = [
+    "queue",
+    "overhead",
+    "seek",
+    "head_switch",
+    "rot_latency",
+    "media",
+    "bus",
+    "write_settle",
+    "response",
+];
 
 /// The worst request rows printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 5;
@@ -49,7 +65,6 @@ fn main() {
     });
 
     let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut registry = MetricsRegistry::new();
     let mut completes: Vec<TraceEvent> = Vec::new();
     let mut scsi: BTreeMap<String, u64> = BTreeMap::new();
     // A well-formed line whose event kind this build does not know (a
@@ -81,10 +96,7 @@ fn main() {
         };
         *census.entry(event.name()).or_insert(0) += 1;
         match &event {
-            TraceEvent::Complete { .. } => {
-                registry.observe_complete(&event);
-                completes.push(event);
-            }
+            TraceEvent::Complete { .. } => completes.push(event),
             TraceEvent::ScsiCommand { kind, .. } => {
                 *scsi.entry(kind.clone()).or_insert(0) += 1;
             }
@@ -136,18 +148,16 @@ fn main() {
     }
 
     // Figure-3/7-style mean breakdown: where the average response went.
+    let phases: Vec<[u64; 9]> = completes.iter().map(phases_ns).collect();
     let n = completes.len() as f64;
     let mut sums = [0u128; PHASES.len()];
     let mut worst_residual = 0u64;
-    for c in &completes {
-        for (k, phase) in PHASES.iter().enumerate() {
-            sums[k] += u128::from(phase_ns(c, phase));
+    for p in &phases {
+        for (sum, &v) in sums.iter_mut().zip(p) {
+            *sum += u128::from(v);
         }
-        let accounted: u64 = PHASES[..PHASES.len() - 1]
-            .iter()
-            .map(|p| phase_ns(c, p))
-            .sum();
-        let response = phase_ns(c, "response");
+        let [parts @ .., response] = p;
+        let accounted: u64 = parts.iter().sum();
         worst_residual = worst_residual.max(response.abs_diff(accounted));
     }
     let mean_ms = |k: usize| sums[k] as f64 / n / 1e6;
@@ -171,11 +181,39 @@ fn main() {
         worst_residual as f64 / 1e3
     );
 
-    // Percentile table — the same one `--metrics` prints at run time.
-    print!("{}", registry.report());
+    // Per-phase latency distribution: exact percentiles over every request.
+    println!(
+        "{:<13} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "phase", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"
+    );
+    for (k, phase) in PHASES.iter().enumerate() {
+        let ns: Vec<f64> = phases.iter().map(|p| p[k] as f64).collect();
+        let max_ns = phases.iter().map(|p| p[k]).max().unwrap_or(0);
+        println!(
+            "{:<13} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>9.4}",
+            phase,
+            mean_ms(k),
+            percentile(&ns, 0.50) / 1e6,
+            percentile(&ns, 0.95) / 1e6,
+            percentile(&ns, 0.99) / 1e6,
+            max_ns as f64 / 1e6,
+        );
+    }
+    let (mut reads, mut cache_hits) = (0, 0);
+    for c in &completes {
+        if let TraceEvent::Complete { op, cache_hit, .. } = *c {
+            reads += usize::from(op == Op::Read);
+            cache_hits += usize::from(cache_hit);
+        }
+    }
+    println!(
+        "requests {} (reads {reads}, writes {}, cache hits {cache_hits})",
+        completes.len(),
+        completes.len() - reads
+    );
 
     // The slowest requests, with their individual breakdowns.
-    completes.sort_by_key(|c| std::cmp::Reverse(phase_ns(c, "response")));
+    completes.sort_by_key(|c| std::cmp::Reverse(phases_ns(c)[PHASES.len() - 1]));
     println!("## Slowest {} requests (ms)", top.min(completes.len()));
     println!(
         "{:<8} {:<5} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7}",
@@ -209,8 +247,9 @@ fn main() {
     }
 }
 
-/// One named phase of a [`TraceEvent::Complete`], in nanoseconds.
-fn phase_ns(c: &TraceEvent, phase: &str) -> u64 {
+/// The phases of a [`TraceEvent::Complete`] in [`PHASES`] order, in
+/// nanoseconds (all zero for any other event).
+fn phases_ns(c: &TraceEvent) -> [u64; 9] {
     let TraceEvent::Complete {
         queue,
         overhead,
@@ -222,20 +261,19 @@ fn phase_ns(c: &TraceEvent, phase: &str) -> u64 {
         write_settle,
         response,
         ..
-    } = c
+    } = *c
     else {
-        return 0;
+        return [0; 9];
     };
-    match phase {
-        "queue" => *queue,
-        "overhead" => *overhead,
-        "seek" => *seek,
-        "head_switch" => *head_switch,
-        "rot_latency" => *rot_latency,
-        "media" => *media,
-        "bus" => *bus,
-        "write_settle" => *write_settle,
-        "response" => *response,
-        _ => 0,
-    }
+    [
+        queue,
+        overhead,
+        seek,
+        head_switch,
+        rot_latency,
+        media,
+        bus,
+        write_settle,
+        response,
+    ]
 }

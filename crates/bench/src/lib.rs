@@ -39,12 +39,11 @@ pub mod trace;
 
 use sim_disk::disk::DiskConfig;
 use sim_disk::fault::FaultConfig;
-use sim_disk::metrics::MetricsRegistry;
-use sim_disk::trace::{Fanout, JsonlSink, SharedSink, Tracer};
+use sim_disk::trace::{JsonlSink, Tracer};
 use std::sync::{Arc, Mutex};
 
 /// Command-line convention shared by the binaries: `--quick`, `--seed N`,
-/// `--threads N`, `--trace <path>`, `--metrics`, `--faults <spec>`,
+/// `--threads N`, `--trace <path>`, `--manifest <dir>`, `--faults <spec>`,
 /// `--fault-seed N`, plus binary-specific boolean flags.
 #[derive(Debug, Clone)]
 pub struct Cli {
@@ -53,15 +52,12 @@ pub struct Cli {
     /// Base RNG seed.
     pub seed: u64,
     /// Worker threads for independent simulation cells (1 = sequential).
-    /// Defaults to 1 when `--trace` or `--metrics` is given, so the event
-    /// stream is deterministic; combining either flag with an explicit
-    /// `--threads N > 1` is a usage error.
+    /// Defaults to 1 when `--trace` is given, so the event stream is
+    /// deterministic; combining it with an explicit `--threads N > 1` is a
+    /// usage error.
     pub threads: usize,
     /// JSONL trace output path (`--trace <path>`), if requested.
     pub trace: Option<String>,
-    /// Whether `--metrics` was given: print a per-phase latency table to
-    /// stderr when the run finishes.
-    pub metrics: bool,
     /// Directory for the run manifest (`--manifest <dir>`), if requested.
     pub manifest: Option<String>,
     /// Fault injection requested via `--faults <spec>` (see
@@ -100,7 +96,7 @@ impl Cli {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: {name} [--quick] [--seed <n>] [--threads <n>] \
-                     [--trace <path>] [--metrics] [--manifest <dir>] \
+                     [--trace <path>] [--manifest <dir>] \
                      [--faults <spec>] [--fault-seed <n>]{}{}",
                     {
                         let extra: String = known.iter().map(|f| format!(" [{f}]")).collect();
@@ -142,7 +138,6 @@ impl Cli {
             seed: 0x5eed,
             threads: default_threads(),
             trace: None,
-            metrics: false,
             manifest: None,
             fault: None,
             flags: Vec::new(),
@@ -167,7 +162,6 @@ impl Cli {
                 "--trace" => {
                     cli.trace = Some(args.next().ok_or("--trace requires a path")?);
                 }
-                "--metrics" => cli.metrics = true,
                 "--manifest" => {
                     cli.manifest = Some(args.next().ok_or("--manifest requires a directory")?);
                 }
@@ -189,15 +183,13 @@ impl Cli {
                 _ => return Err(format!("unrecognized argument `{a}`")),
             }
         }
-        if cli.trace.is_some() || cli.metrics {
+        if cli.trace.is_some() {
             // One worker: requests then hit the shared sink in a stable
             // order, and the hot path never contends on the sink lock.
             if explicit_threads && cli.threads > 1 {
-                return Err(
-                    "--trace/--metrics need a deterministic event stream and run \
-                     single-threaded; drop --threads or pass --threads 1"
-                        .into(),
-                );
+                return Err("--trace needs a deterministic event stream and runs \
+                            single-threaded; drop --threads or pass --threads 1"
+                    .into());
             }
             cli.threads = 1;
         }
@@ -244,62 +236,41 @@ impl Cli {
         )
     }
 
-    /// Builds the observability sinks requested by `--trace`/`--metrics`.
-    /// With neither flag, the probe is inert and attaching it leaves
-    /// configurations untouched.
+    /// Builds the observability harness requested by `--trace` and
+    /// `--faults`. With neither flag, the probe is inert and attaching it
+    /// leaves configurations untouched.
     ///
     /// # Panics
     ///
     /// Panics if the `--trace` file cannot be created.
     pub fn probe(&self) -> Probe {
-        let metrics = (self.metrics).then(|| Arc::new(Mutex::new(MetricsRegistry::new())));
-        let mut sinks: Vec<SharedSink> = Vec::new();
-        if let Some(path) = &self.trace {
+        let tracer = self.trace.as_ref().map(|path| {
             let sink = JsonlSink::create(path)
                 .unwrap_or_else(|e| panic!("cannot create trace file `{path}`: {e}"));
-            sinks.push(Arc::new(Mutex::new(sink)));
-        }
-        if let Some(reg) = &metrics {
-            sinks.push(reg.clone() as SharedSink);
-        }
-        let tracer = match sinks.len() {
-            0 => None,
-            1 => Some(Tracer::new(sinks.pop().expect("one sink"))),
-            _ => Some(Tracer::from_sink(Fanout::new(sinks))),
-        };
+            Tracer::new(Arc::new(Mutex::new(sink)))
+        });
         Probe {
             tracer,
-            metrics,
             fault: self.fault,
         }
     }
 }
 
-/// The per-run observability harness behind `--trace` and `--metrics`:
-/// holds the shared trace sink (JSONL file, metrics registry, or both) and
-/// attaches it to drive configurations as they are built.
+/// The per-run observability harness behind `--trace`: holds the shared
+/// JSONL trace sink and the `--faults` config, and attaches both to drive
+/// configurations as they are built.
 ///
 /// Figure binaries create one probe per run, [`Probe::attach`] it to every
 /// [`DiskConfig`] they construct, and call [`Probe::finish`] before
-/// exiting; the metrics table goes to **stderr** so a figure's stdout
-/// stays byte-identical with the probe disabled.
+/// exiting. The trace goes to its own file, so a figure's stdout stays
+/// byte-identical with the probe disabled.
 pub struct Probe {
     tracer: Option<Tracer>,
-    metrics: Option<Arc<Mutex<MetricsRegistry>>>,
     fault: Option<FaultConfig>,
 }
 
 impl Probe {
-    /// An inert probe (no tracing, no metrics, no fault injection).
-    pub fn disabled() -> Self {
-        Probe {
-            tracer: None,
-            metrics: None,
-            fault: None,
-        }
-    }
-
-    /// Whether any sink is attached.
+    /// Whether a trace sink is attached.
     pub fn enabled(&self) -> bool {
         self.tracer.is_some()
     }
@@ -325,14 +296,10 @@ impl Probe {
         config
     }
 
-    /// Flushes the trace file and, when `--metrics` was given, prints the
-    /// per-phase latency table to stderr.
+    /// Flushes the trace file.
     pub fn finish(&self) {
         if let Some(t) = &self.tracer {
             t.flush();
-        }
-        if let Some(reg) = &self.metrics {
-            eprint!("{}", reg.lock().expect("metrics registry").report());
         }
     }
 }
@@ -443,10 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_metrics_default_to_one_thread() {
-        let cli = Cli::parse_args(args(&["--metrics"]), &[]).unwrap();
-        assert!(cli.metrics);
-        assert_eq!(cli.threads, 1);
+    fn trace_defaults_to_one_thread() {
         let cli = Cli::parse_args(args(&["--trace", "/tmp/t.jsonl"]), &[]).unwrap();
         assert_eq!(cli.trace.as_deref(), Some("/tmp/t.jsonl"));
         assert_eq!(cli.threads, 1);
@@ -454,16 +418,18 @@ mod tests {
     }
 
     #[test]
-    fn explicit_parallel_threads_with_trace_or_metrics_is_an_error() {
+    fn explicit_parallel_threads_with_trace_is_an_error() {
         // Silently forcing one thread would make `--threads 8` a lie; the
         // combination is rejected with an actionable message instead.
-        let err = Cli::parse_args(args(&["--threads", "8", "--metrics"]), &[]).unwrap_err();
+        let err =
+            Cli::parse_args(args(&["--threads", "8", "--trace", "/tmp/t.jsonl"]), &[]).unwrap_err();
         assert!(err.contains("--threads 1"), "{err}");
         let err =
             Cli::parse_args(args(&["--trace", "/tmp/t.jsonl", "--threads", "2"]), &[]).unwrap_err();
         assert!(err.contains("single-threaded"), "{err}");
         // An explicit `--threads 1` is consistent and accepted.
-        let cli = Cli::parse_args(args(&["--threads", "1", "--metrics"]), &[]).unwrap();
+        let cli =
+            Cli::parse_args(args(&["--threads", "1", "--trace", "/tmp/t.jsonl"]), &[]).unwrap();
         assert_eq!(cli.threads, 1);
     }
 
@@ -537,7 +503,7 @@ mod tests {
 
     #[test]
     fn disabled_probe_leaves_configs_untouched() {
-        let probe = Probe::disabled();
+        let probe = Cli::parse_args(args(&[]), &[]).unwrap().probe();
         assert!(!probe.enabled());
         let cfg = probe.wrap(sim_disk::models::small_test_disk());
         assert!(cfg.tracer.is_none());
@@ -545,8 +511,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_probe_collects_from_attached_drives() {
-        let cli = Cli::parse_args(args(&["--metrics"]), &[]).unwrap();
+    fn trace_probe_records_attached_drives() {
+        let path =
+            std::env::temp_dir().join(format!("traxtent-bench-probe-{}.jsonl", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        let cli = Cli::parse_args(args(&["--trace", path_str]), &[]).unwrap();
         let probe = cli.probe();
         assert!(probe.enabled());
         let cfg = probe.wrap(sim_disk::models::small_test_disk());
@@ -555,9 +524,15 @@ mod tests {
             sim_disk::disk::Request::read(0, 64),
             sim_disk::SimTime::ZERO,
         );
-        let reg = probe.metrics.as_ref().unwrap().lock().unwrap();
-        assert_eq!(reg.requests(), 1);
-        let resp = reg.phase("response").unwrap();
-        assert_eq!(resp.max_ns(), c.response_time().as_ns());
+        probe.finish();
+        let text = std::fs::read_to_string(&path).expect("trace file");
+        std::fs::remove_file(&path).ok();
+        let last = text.lines().last().expect("events written");
+        match trace::parse_event(last).expect("valid event") {
+            sim_disk::trace::TraceEvent::Complete { response, .. } => {
+                assert_eq!(response, c.response_time().as_ns());
+            }
+            other => panic!("last event is not a completion: {other:?}"),
+        }
     }
 }

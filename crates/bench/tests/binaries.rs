@@ -1,7 +1,7 @@
 //! End-to-end tests of the observability binaries: a figure run emitting a
 //! manifest, `bench_diff` passing on an unchanged run and failing on a
-//! perturbed headline, and `trace_report` degrading gracefully on empty or
-//! truncated traces.
+//! perturbed headline, and `trace_report` computing exact percentiles and
+//! degrading gracefully on empty or truncated traces.
 //!
 //! `table1` stands in for the figure binaries because it is the cheapest
 //! (geometry construction only, ~0.1 s in a debug build) while exercising
@@ -98,6 +98,64 @@ fn trace_report_reports_truncated_trace_and_exits_zero() {
     assert!(text.contains("trace truncated at line 2"), "stdout: {text}");
     assert!(text.contains("issue"), "census missing from: {text}");
 
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn trace_report_prints_exact_interpolated_percentiles() {
+    let dir = scratch("trace-pct");
+    let path = dir.join("five.jsonl");
+    // Five completions whose response (all media time) is 1, 2, 3, 4 and
+    // 10 ms. Interpolated order statistics: p50 = 3 ms, p95 = 4 + 0.8 * 6
+    // = 8.8 ms, p99 = 4 + 0.96 * 6 = 9.76 ms.
+    let text: String = [1u64, 2, 3, 4, 10]
+        .iter()
+        .enumerate()
+        .map(|(i, &ms)| {
+            TraceEvent::Complete {
+                req: i as u64,
+                t: 0,
+                op: if i % 2 == 0 { Op::Read } else { Op::Write },
+                lbn: 0,
+                len: 8,
+                cache_hit: i == 0,
+                queue: 0,
+                overhead: 0,
+                seek: 0,
+                head_switch: 0,
+                rot_latency: 0,
+                media: ms * 1_000_000,
+                bus: 0,
+                write_settle: 0,
+                response: ms * 1_000_000,
+            }
+            .to_json()
+                + "\n"
+        })
+        .collect();
+    fs::write(&path, text).unwrap();
+
+    let out = run(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &[path.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "exit: {:?}", out.status);
+    let text = stdout(&out);
+    let row: Vec<&str> = text
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .find(|cols| cols.len() == 6 && cols[0] == "response")
+        .unwrap_or_else(|| panic!("no response percentile row in: {text}"));
+    // mean, p50, p95, p99, max in ms.
+    assert_eq!(
+        row[1..],
+        ["4.0000", "3.0000", "8.8000", "9.7600", "10.0000"],
+        "stdout: {text}"
+    );
+    assert!(
+        text.contains("requests 5 (reads 3, writes 2, cache hits 1)"),
+        "stdout: {text}"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 

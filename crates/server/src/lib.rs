@@ -113,6 +113,10 @@ impl Backend for Disk {
     }
 }
 
+/// Confidence below which the traxtent scheduler treats a track's
+/// boundaries as unknown.
+const CONFIDENCE_THRESHOLD: f64 = 0.9;
+
 /// Server configuration: queue bound, dispatch policy, batch width.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -125,8 +129,6 @@ pub struct ServerConfig {
     /// Boundary knowledge for [`SchedulerKind::Traxtent`]; ignored by the
     /// other policies and required (typed error) by that one.
     pub boundaries: Option<ConfidentBoundaries>,
-    /// Confidence below which a track is treated as unknown.
-    pub confidence_threshold: f64,
     /// Causal-span recorder: when set, every request grows a span tree
     /// (admit → queue-wait → dispatch, plus whatever the backend and the
     /// drives' [`DiskSpanBridge`] hang underneath). `None` (the default)
@@ -139,14 +141,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config with the defaults the figures use: queue bound 128,
-    /// batch width 32, confidence threshold 0.9.
+    /// batch width 32.
     pub fn new(scheduler: SchedulerKind) -> Self {
         ServerConfig {
             queue_limit: 128,
             max_batch: 32,
             scheduler,
             boundaries: None,
-            confidence_threshold: 0.9,
             spans: None,
             timeline: None,
         }
@@ -370,7 +371,7 @@ pub fn serve<B: Backend + ?Sized>(
                 .boundaries
                 .clone()
                 .ok_or(ServerError::MissingBoundaries)?;
-            Box::new(Traxtent::new(b, cfg.confidence_threshold))
+            Box::new(Traxtent::new(b, CONFIDENCE_THRESHOLD))
         }
     };
 

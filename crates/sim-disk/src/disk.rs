@@ -272,11 +272,6 @@ impl Disk {
         std::mem::take(&mut self.recent_error_lbns)
     }
 
-    /// Attaches (or, with `None`, detaches) a trace sink on a built drive.
-    pub fn set_tracer(&mut self, tracer: Option<Tracer>) {
-        self.config.tracer = tracer;
-    }
-
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.config.tracer.as_ref()

@@ -36,8 +36,8 @@
 //!
 //! Setting [`disk::DiskConfig::tracer`] streams typed [`trace::TraceEvent`]s
 //! for every mechanical phase of every request into a [`trace::TraceSink`]
-//! (a JSONL file, an in-memory buffer, a [`metrics::MetricsRegistry`], or
-//! any combination via [`trace::Fanout`]). With no tracer attached the
+//! (a JSONL file, an in-memory buffer, or several at once via
+//! [`trace::Fanout`]). With no tracer attached the
 //! entire subsystem costs one branch per request.
 
 #![warn(missing_docs)]
@@ -50,7 +50,6 @@ pub mod disk;
 pub mod fault;
 pub mod geometry;
 pub mod mech;
-pub mod metrics;
 pub mod models;
 pub mod request;
 pub mod rotation;

@@ -102,11 +102,6 @@ impl Breakdown {
             + self.bus
             + self.write_settle
     }
-
-    /// Positioning time: everything but media transfer, bus, and overhead.
-    pub fn positioning(&self) -> SimDur {
-        self.seek + self.head_switch + self.rot_latency + self.write_settle
-    }
 }
 
 /// The result of servicing one request.
@@ -178,7 +173,6 @@ mod tests {
             write_settle: SimDur::from_ns(7),
         };
         assert_eq!(b.total().as_ns(), 36);
-        assert_eq!(b.positioning().as_ns(), 2 + 3 + 4 + 7);
     }
 
     #[test]

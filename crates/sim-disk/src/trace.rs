@@ -19,10 +19,9 @@
 //!
 //! # Attaching a sink
 //!
-//! Sinks attach either to a built drive ([`crate::Disk::set_tracer`]) or
-//! to its [`crate::disk::DiskConfig::tracer`] field, in which case every
-//! drive built from that config — including drives built deep inside the
-//! file-system, video-server, or LFS layers — inherits the sink:
+//! Sinks attach to a drive's [`crate::disk::DiskConfig::tracer`] field, so
+//! every drive built from that config — including drives built deep inside
+//! the file-system, video-server, or LFS layers — inherits the sink:
 //!
 //! ```
 //! use std::sync::{Arc, Mutex};
@@ -588,7 +587,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 }
 
 /// A sink forwarding every event to several sinks (e.g. a JSONL file plus
-/// a live metrics registry).
+/// a span bridge).
 pub struct Fanout(Vec<SharedSink>);
 
 impl Fanout {
